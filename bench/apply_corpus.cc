@@ -51,7 +51,7 @@ double NowMs() {
 }
 
 // Deterministic columnar data: an id column (all distinct), an enum-like
-// column (13 values, exercising the interner), a date column with a '-'
+// column (13 values), a date column with a '-'
 // structure (exercising Split), and a mixed digits/words column
 // (exercising Divide/Delete). ~34 bytes per record.
 Status GenerateCsv(const std::string& path, uint64_t rows) {

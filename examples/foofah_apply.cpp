@@ -20,7 +20,6 @@
 //                               exceeding it fails ResourceExhausted
 //         --spill-dir DIR       parent directory for spill/staging temp
 //                               dirs (default: the output's directory)
-//         --no-intern           disable per-chunk cell deduplication
 //         --quiet               suppress the progress/summary lines
 //         --stats               print the full ApplyStats breakdown
 //
@@ -57,7 +56,7 @@ int Usage() {
                "         [--chunk-rows N] [--memory-budget N[KMG]]\n"
                "         [--spill-threshold N[KMG]] [--no-spill]\n"
                "         [--disk-budget N[KMG]] [--spill-dir DIR]\n"
-               "         [--no-intern] [--quiet] [--stats]\n");
+               "         [--quiet] [--stats]\n");
   return 2;
 }
 
@@ -170,8 +169,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--spill-dir") == 0 && i + 1 < argc) {
       options.spill_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-intern") == 0) {
-      options.intern_cells = false;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
@@ -256,10 +253,6 @@ int main(int argc, char** argv) {
                 " peak_disk_bytes=%" PRIu64 "\n",
                 stats.spill_runs, stats.spill_bytes_written,
                 stats.peak_disk_bytes);
-    std::printf("interner: lookups=%" PRIu64 " hits=%" PRIu64
-                " entries=%zu bytes_stored=%zu\n",
-                stats.interner.lookups, stats.interner.hits,
-                stats.interner.entries, stats.interner.bytes_stored);
   }
   return 0;
 }

@@ -10,6 +10,9 @@
 # sweeps. The TSan stage also compiles the fault points in, so the same
 # sweeps run under both sanitizers.
 #
+# After the stage-1 ctest run, the benchmark binary (perfbench/) is built
+# against the current src/, without running it.
+#
 # Stage 5 reuses the TSan + fault-injection configuration to run the
 # stress-labeled synthesis-service suite: concurrent soak over the corpus,
 # fault-pinned overload shedding, and worker-count determinism.
@@ -76,6 +79,13 @@ echo "== Release build + full ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
+
+# The benchmark (perfbench/) compiles src/ on its own; building it here
+# makes a src/ API change that breaks it fail locally. Build only: the
+# benchmark's --self-test is not run.
+echo "== Benchmark build (perfbench/, build only) =="
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j "${JOBS}"
 
 SKIP_TSAN=0
 SKIP_ASAN=0

@@ -9,7 +9,6 @@
 #include "program/program.h"
 #include "table/csv.h"
 #include "util/cancellation.h"
-#include "util/interner.h"
 #include "util/status.h"
 
 namespace foofah {
@@ -94,9 +93,9 @@ struct ApplyOptions {
   /// rename is atomic), $TMPDIR or /tmp for the text variant.
   std::string spill_dir;
 
-  /// Deduplicate repeated cell bytes per chunk through a StringInterner
-  /// (columnar data is repetitive; interning bounds the chunk's cell
-  /// storage by its distinct values).
+  /// Ignored: the reader hands out cells as views into its I/O buffer,
+  /// so there is nothing to deduplicate. Kept only so existing callers
+  /// compile; to be removed.
   bool intern_cells = true;
 
   /// Optional externally owned token (not owned, must outlive the
@@ -127,7 +126,6 @@ struct ApplyStats {
   /// High-water mark of concurrent spill bytes on disk (the gauge
   /// charged against the disk budget). 0 when nothing spilled.
   uint64_t peak_disk_bytes = 0;
-  StringInterner::Stats interner;  ///< Final pass's cell interner.
 };
 
 /// Applies `program` to the CSV file at `input_path`, writing the

@@ -1,7 +1,10 @@
 #include "table/csv_stream.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "util/fault_injection.h"
 
@@ -12,261 +15,300 @@ namespace {
 // Identical formatting to csv.cc's AtPosition — the diagnostics contract
 // between the two readers is "same message, byte for byte", enforced by
 // tests/csv_stream_test.cc.
-std::string AtPosition(size_t line, size_t col) {
+std::string AtPosition(size_t line, uint64_t col) {
   return "line " + std::to_string(line) + ", column " + std::to_string(col);
+}
+
+bool IsLineByte(char c) { return c == '\0' || c == '\r' || c == '\n'; }
+
+Status ValidateReaderOptions(const CsvOptions& options) {
+  if (IsLineByte(options.delimiter) || IsLineByte(options.quote) ||
+      options.delimiter == options.quote) {
+    return Status::InvalidArgument(
+        "CSV delimiter and quote must differ and must not be NUL, CR or LF");
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
-CsvChunkReader::CsvChunkReader(const std::string& path, CsvOptions options,
-                               bool intern_cells, size_t io_buffer_bytes)
-    : options_(options),
-      intern_cells_(intern_cells),
-      buffer_size_(std::max<size_t>(io_buffer_bytes, 2)) {
-  buffer_ = std::make_unique<char[]>(buffer_size_);
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) {
-    open_status_ = Status::NotFound("cannot open file: " + path);
+CsvByteClasses::CsvByteClasses(const CsvOptions& options) {
+  std::fill(std::begin(table_), std::end(table_), kPlain);
+  // Later assignments win, so a byte that is both NUL and the delimiter
+  // is a delimiter: the writer quotes it, as ToCsv does. (The reader
+  // rejects such options.)
+  table_[0] = kNul;
+  table_[static_cast<uint8_t>('\n')] = kLf;
+  table_[static_cast<uint8_t>('\r')] = kCr;
+  table_[static_cast<uint8_t>(options.delimiter)] = kDelimiter;
+  table_[static_cast<uint8_t>(options.quote)] = kQuote;
+}
+
+bool CsvByteClasses::NeedsQuoting(std::string_view cell) const {
+  bool quote = false;
+  for (char c : cell) {
+    Class k = (*this)[c];
+    quote |= k != kPlain && k != kNul;
   }
+  return quote;
+}
+
+CsvChunkReader::CsvChunkReader(const std::string& path, CsvOptions options,
+                               bool /*intern_cells*/, size_t io_buffer_bytes)
+    : options_(options), classes_(options) {
+  Init(io_buffer_bytes);
+  if (!error_.ok()) return;
+  file_ = std::fopen(path.c_str(), "rb");
+  if (file_ == nullptr) error_ = Status::NotFound("cannot open file: " + path);
 }
 
 CsvChunkReader::CsvChunkReader(std::string_view text, CsvOptions options,
-                               bool intern_cells, size_t io_buffer_bytes)
-    : options_(options),
-      intern_cells_(intern_cells),
-      text_(text),
-      buffer_size_(std::max<size_t>(io_buffer_bytes, 2)) {
-  buffer_ = std::make_unique<char[]>(buffer_size_);
+                               bool /*intern_cells*/, size_t io_buffer_bytes)
+    : options_(options), classes_(options), text_(text) {
+  Init(io_buffer_bytes);
 }
 
 CsvChunkReader::~CsvChunkReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-bool CsvChunkReader::RefillBuffer() {
-  // Compact the unconsumed tail (at most a byte of lookahead stall) to
-  // the front, then top up from the source. The constructor pins the
-  // buffer to >= 2 bytes so a refill during a one-byte lookahead stall
-  // always has room — a full buffer here would read 0 bytes and
-  // misdiagnose EOF.
-  size_t leftover = fill_ - pos_;
-  if (leftover > 0 && pos_ > 0) {
+void CsvChunkReader::Init(size_t io_buffer_bytes) {
+  error_ = ValidateReaderOptions(options_);
+  buffer_size_ = std::max<size_t>(io_buffer_bytes, 2);
+  buffer_ = std::make_unique<char[]>(buffer_size_ + 1);
+  buffer_[0] = '\0';
+}
+
+void CsvChunkReader::Refill() {
+  if (source_eof_) return;
+  const size_t leftover = fill_ - pos_;
+  if (leftover == buffer_size_) {
+    // A single record fills the whole buffer: double it.
+    std::unique_ptr<char[]> bigger =
+        std::make_unique<char[]>(2 * buffer_size_ + 1);
+    std::memcpy(bigger.get(), buffer_.get(), leftover);
+    buffer_ = std::move(bigger);
+    buffer_size_ *= 2;
+  } else if (pos_ > 0 && leftover > 0) {
     std::memmove(buffer_.get(), buffer_.get() + pos_, leftover);
   }
+  base_offset_ += pos_;
   pos_ = 0;
   fill_ = leftover;
-  size_t want = buffer_size_ - fill_;
-  if (want == 0) return false;
-  size_t got = 0;
-  if (file_ != nullptr) {
-    got = std::fread(buffer_.get() + fill_, 1, want, file_);
-  } else {
-    got = std::min(want, text_.size() - text_pos_);
-    if (got > 0) std::memcpy(buffer_.get() + fill_, text_.data() + text_pos_, got);
-    text_pos_ += got;
+  while (fill_ < buffer_size_) {
+    size_t want = buffer_size_ - fill_;
+    size_t got = 0;
+    if (file_ != nullptr) {
+      got = std::fread(buffer_.get() + fill_, 1, want, file_);
+    } else {
+      got = std::min(want, text_.size() - text_pos_);
+      if (got > 0) {
+        std::memcpy(buffer_.get() + fill_, text_.data() + text_pos_, got);
+      }
+      text_pos_ += got;
+    }
+    if (got == 0) {
+      source_eof_ = true;
+      break;
+    }
+    fill_ += got;
   }
-  fill_ += got;
-  if (got > 0) any_bytes_ = true;
-  if (got == 0) source_eof_ = true;
-  return got > 0;
+  buffer_[fill_] = '\0';  // The sentinel.
 }
 
-void CsvChunkReader::Advance(char c) {
-  if (c == '\n') {
-    ++line_;
-    col_ = 1;
-  } else {
-    ++col_;
-  }
-  ++pos_;
-  ++bytes_consumed_;
+std::string CsvChunkReader::AtOffset(const char* p, size_t line,
+                                     uint64_t line_start) const {
+  uint64_t offset = base_offset_ + static_cast<uint64_t>(p - buffer_.get());
+  return AtPosition(line, offset - line_start + 1);
 }
 
-void CsvChunkReader::StartNextCell() {
-  cell_line_ = line_;
-  cell_col_ = col_;
-}
-
-Status CsvChunkReader::CellOverCapError() const {
-  return Status::ParseError(
-      "cell starting at " + AtPosition(cell_line_, cell_col_) +
-      " exceeds max_cell_bytes (" + std::to_string(options_.max_cell_bytes) +
-      ")");
-}
-
-void CsvChunkReader::AppendToCell(char c) { cell_ += c; }
-
-void CsvChunkReader::EmitCell(CsvChunk* chunk) {
-  std::string_view stored = intern_cells_ ? interner_.Intern(cell_)
-                                          : arena_.CopyString(cell_);
-  chunk->cells_.push_back(stored);
-  cell_.clear();
-}
-
-void CsvChunkReader::EmitRow(CsvChunk* chunk) {
-  chunk->rows_.push_back(
-      CsvChunk::RowSpan{row_first_cell_, chunk->cells_.size() - row_first_cell_});
-  row_first_cell_ = chunk->cells_.size();
-  row_started_ = false;
-}
-
-Status CsvChunkReader::Fail(Status status) {
-  error_ = status;
+CsvChunkReader::Scan CsvChunkReader::Fail(Status status) {
+  error_ = std::move(status);
   finished_ = true;
-  return error_;
+  return Scan::kError;
+}
+
+// Parses the record at pos_, appending its cells to `chunk`. Mirrors
+// ParseCsv branch for branch, but steps over runs of plain bytes and
+// tracks positions as offsets: `line`/`line_start` advance once per
+// newline, and a column is only computed when an error is built. On
+// kNeedBytes nothing is committed; the caller drops the record's cells
+// and rescans it once more bytes are buffered.
+CsvChunkReader::Scan CsvChunkReader::ScanRecord(CsvChunk* chunk) {
+  using C = CsvByteClasses;
+  const char* const buf = buffer_.get();
+  const char* const end = buf + fill_;
+  const char* p = buf + pos_;
+  if (p == end) return source_eof_ ? Scan::kEnd : Scan::kNeedBytes;
+  const char quote = options_.quote;
+  const size_t cap =
+      options_.max_cell_bytes == 0 ? SIZE_MAX : options_.max_cell_bytes;
+  size_t line = line_;
+  uint64_t line_start = line_start_;
+  auto cap_error = [&](const char* at, size_t at_line, uint64_t at_start) {
+    return Fail(Status::ParseError(
+        "cell starting at " + AtOffset(at, at_line, at_start) +
+        " exceeds max_cell_bytes (" + std::to_string(options_.max_cell_bytes) +
+        ")"));
+  };
+
+  for (;;) {  // One cell per iteration.
+    // A quote opens a quoted section only at the start of a cell.
+    const char* open = nullptr;
+    const char* close = nullptr;
+    size_t escapes = 0;  // Doubled quotes inside the quoted section.
+    size_t open_line = line;
+    uint64_t open_start = line_start;
+    if (*p == quote) {
+      open = p++;
+      for (;;) {
+        while (classes_[*p] < C::kQuote) ++p;
+        if (static_cast<size_t>(p - open - 1) - escapes > cap) {
+          return cap_error(open, open_line, open_start);
+        }
+        if (p == end) {
+          if (!source_eof_) return Scan::kNeedBytes;
+          return Fail(Status::ParseError(
+              "unterminated quoted cell in CSV input (quote opened at " +
+              AtOffset(open, open_line, open_start) + ")"));
+        }
+        C::Class k = classes_[*p];
+        if (k == C::kNul) {
+          return Fail(Status::ParseError("embedded NUL byte at " +
+                                         AtOffset(p, line, line_start)));
+        }
+        if (k == C::kLf) {
+          ++p;
+          ++line;
+          line_start = base_offset_ + static_cast<uint64_t>(p - buf);
+          continue;
+        }
+        // A quote: one byte of lookahead tells escaped from closing. At
+        // the fill mark p[1] is the sentinel, so the quote reads as
+        // closing; before end of input the record then stops at the
+        // sentinel and is rescanned, so the guess never sticks.
+        if (p[1] == quote) {
+          p += 2;
+          ++escapes;
+          continue;
+        }
+        close = p++;
+        break;
+      }
+    }
+
+    // The unquoted cell, or the bytes after a closing quote; a quote
+    // here is content.
+    const char* tail = p;
+    for (;;) {
+      while (classes_[*p] == C::kPlain) ++p;
+      if (classes_[*p] != C::kQuote) break;
+      ++p;
+    }
+    const size_t quoted_len =
+        open == nullptr ? 0 : static_cast<size_t>(close - open - 1) - escapes;
+    if (quoted_len + static_cast<size_t>(p - tail) > cap) {
+      // ParseCsv dates a cell from its opening quote, or from its first
+      // unquoted byte when the quoted section was empty.
+      if (quoted_len > 0) return cap_error(open, open_line, open_start);
+      return cap_error(tail, line, line_start);
+    }
+    if (p == end && !source_eof_) return Scan::kNeedBytes;
+    if (p != end && classes_[*p] == C::kNul) {
+      return Fail(Status::ParseError("embedded NUL byte at " +
+                                     AtOffset(p, line, line_start)));
+    }
+
+    if (open == nullptr) {
+      chunk->cells_.emplace_back(tail, static_cast<size_t>(p - tail));
+    } else if (escapes == 0 && p == tail) {
+      chunk->cells_.emplace_back(open + 1, quoted_len);
+    } else {
+      // The only copy: unescape the quoted section, append the tail.
+      const size_t tail_len = static_cast<size_t>(p - tail);
+      char* out = static_cast<char*>(arena_.Alloc(quoted_len + tail_len, 1));
+      char* w = out;
+      for (const char* r = open + 1; r < close; ++r) {
+        *w++ = *r;
+        if (*r == quote) ++r;  // Skip the second quote of the pair.
+      }
+      std::memcpy(w, tail, tail_len);
+      chunk->cells_.emplace_back(out, quoted_len + tail_len);
+    }
+
+    if (p == end) {  // The final record, terminated by end of input.
+      finished_ = true;
+    } else {
+      C::Class k = classes_[*p];
+      if (k == C::kDelimiter) {
+        ++p;
+        continue;
+      }
+      if (k == C::kCr) {
+        // A lone CR ends the record, as in ParseCsv; CRLF is one ending.
+        if (p + 1 == end && !source_eof_) return Scan::kNeedBytes;
+        p += p[1] == '\n' ? 2 : 1;
+      } else {
+        ++p;  // LF.
+      }
+      ++line;
+      line_start = base_offset_ + static_cast<uint64_t>(p - buf);
+    }
+    pos_ = static_cast<size_t>(p - buf);
+    line_ = line;
+    line_start_ = line_start;
+    return Scan::kRow;
+  }
 }
 
 Result<bool> CsvChunkReader::ReadChunk(size_t max_rows, CsvChunk* chunk) {
-  if (!open_status_.ok()) return open_status_;
   if (!error_.ok()) return error_;
 
   chunk->cells_.clear();
   chunk->rows_.clear();
-  row_first_cell_ = 0;
   arena_.Reset();
-  interner_.Reset();
-
   if (finished_) return false;
 
-  const char quote = options_.quote;
-  const char delimiter = options_.delimiter;
-  auto cell_over_cap = [&]() {
-    return options_.max_cell_bytes != 0 &&
-           cell_.size() > options_.max_cell_bytes;
-  };
-
-  while (chunk->rows_.size() < max_rows) {
-    if (pos_ >= fill_) {
-      if (!source_eof_) RefillBuffer();
-      if (pos_ >= fill_ && source_eof_) break;  // Fall through to EOF logic.
-      if (pos_ >= fill_) continue;
+  // No view of this chunk exists yet, so the buffer may move.
+  Refill();
+  while (chunk->rows_.size() < max_rows && !finished_) {
+    const size_t first = chunk->cells_.size();
+    Scan scan = ScanRecord(chunk);
+    if (scan == Scan::kRow) {
+      chunk->rows_.push_back(
+          CsvChunk::RowSpan{first, chunk->cells_.size() - first});
+      continue;
     }
-    char c = buffer_[pos_];
-    if (c == '\0') {
-      return Fail(Status::ParseError("embedded NUL byte at " +
-                                     AtPosition(line_, col_)));
-    }
-    if (in_quotes_) {
-      if (c == quote) {
-        // One byte of lookahead decides escaped-vs-closing; stall for a
-        // refill when the quote is the last buffered byte.
-        if (pos_ + 1 >= fill_ && !source_eof_) {
-          RefillBuffer();
-          continue;
-        }
-        if (pos_ + 1 < fill_ && buffer_[pos_ + 1] == quote) {
-          AppendToCell(quote);  // Escaped quote.
-          if (cell_over_cap()) return Fail(CellOverCapError());
-          Advance(quote);
-          Advance(quote);
-          continue;
-        }
-        in_quotes_ = false;
-        Advance(c);
-        continue;
+    if (scan == Scan::kError) return error_;
+    chunk->cells_.resize(first);
+    if (scan == Scan::kEnd) {
+      // Input ending in a record terminator: ParseCsv adds one empty
+      // record only when trailing newlines count.
+      if (!options_.ignore_trailing_newline && bytes_consumed() > 0) {
+        chunk->cells_.emplace_back();
+        chunk->rows_.push_back(CsvChunk::RowSpan{first, 1});
       }
-      AppendToCell(c);
-      if (cell_over_cap()) return Fail(CellOverCapError());
-      Advance(c);
-      continue;
+      finished_ = true;
+      break;
     }
-    if (c == quote && cell_.empty()) {
-      in_quotes_ = true;
-      row_started_ = true;
-      quote_line_ = line_;
-      quote_col_ = col_;
-      cell_line_ = line_;
-      cell_col_ = col_;
-      Advance(c);
-      continue;
-    }
-    if (c == delimiter) {
-      EmitCell(chunk);
-      row_started_ = true;
-      Advance(c);
-      StartNextCell();
-      continue;
-    }
-    if (c == '\r') {
-      // A lone CR (not followed by LF) terminates the record, exactly as
-      // in ParseCsv; the LF of a CRLF pair is handled by the '\n' branch
-      // on the next iteration. One byte of lookahead, as for quotes.
-      if (pos_ + 1 >= fill_ && !source_eof_) {
-        RefillBuffer();
-        continue;
-      }
-      ++pos_;
-      ++col_;
-      ++bytes_consumed_;
-      if (pos_ >= fill_ || buffer_[pos_] != '\n') {
-        EmitCell(chunk);
-        EmitRow(chunk);
-        ++line_;
-        col_ = 1;
-        StartNextCell();
-      }
-      continue;
-    }
-    if (c == '\n') {
-      EmitCell(chunk);
-      EmitRow(chunk);
-      Advance(c);
-      StartNextCell();
-      continue;
-    }
-    if (cell_.empty()) StartNextCell();
-    AppendToCell(c);
-    if (cell_over_cap()) return Fail(CellOverCapError());
-    row_started_ = true;
-    Advance(c);
+    // kNeedBytes: the record runs past the buffered bytes. End the chunk
+    // at the last complete record, or — with no row (and so no view)
+    // yet — make room, read on and rescan the record.
+    if (!chunk->rows_.empty()) break;
+    arena_.Reset();
+    Refill();
   }
-
-  // End of input: replay ParseCsv's trailing logic exactly once.
-  if (source_eof_ && pos_ >= fill_ && !finished_ &&
-      chunk->rows_.size() < max_rows) {
-    if (in_quotes_) {
-      return Fail(Status::ParseError(
-          "unterminated quoted cell in CSV input (quote opened at " +
-          AtPosition(quote_line_, quote_col_) + ")"));
-    }
-    bool open_row = chunk->cells_.size() > row_first_cell_;
-    if (row_started_ || !cell_.empty() || open_row) {
-      EmitCell(chunk);
-      EmitRow(chunk);
-    } else if (!options_.ignore_trailing_newline && any_bytes_) {
-      EmitCell(chunk);  // cell_ is empty: a single-empty-cell record.
-      EmitRow(chunk);
-    }
-    finished_ = true;
-  }
-
   return !chunk->rows_.empty();
-}
-
-size_t CsvChunkReader::buffered_bytes() const {
-  return buffer_size_ + cell_.capacity() + arena_.bytes_reserved() +
-         interner_.bytes_reserved();
 }
 
 // ---------------------------------------------------------------------------
 
-namespace {
-
-bool NeedsQuoting(std::string_view cell, const CsvOptions& options) {
-  for (char c : cell) {
-    if (c == options.delimiter || c == options.quote || c == '\n' ||
-        c == '\r') {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 CsvChunkWriter::CsvChunkWriter(const std::string& path, CsvOptions options,
                                size_t buffer_bytes)
-    : options_(options), path_(path), buffer_bytes_(buffer_bytes) {
+    : options_(options),
+      classes_(options),
+      path_(path),
+      buffer_bytes_(buffer_bytes) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
     status_ = Status::Unavailable("cannot open file for writing: " + path);
@@ -275,7 +317,7 @@ CsvChunkWriter::CsvChunkWriter(const std::string& path, CsvOptions options,
 }
 
 CsvChunkWriter::CsvChunkWriter(std::string* out, CsvOptions options)
-    : options_(options), out_(out) {}
+    : options_(options), classes_(options), out_(out) {}
 
 CsvChunkWriter::~CsvChunkWriter() {
   if (!closed_) Close();
@@ -284,7 +326,7 @@ CsvChunkWriter::~CsvChunkWriter() {
 void CsvChunkWriter::AppendCellLocked(std::string_view cell) {
   if (cells_in_row_ > 0) buffer_ += options_.delimiter;
   ++cells_in_row_;
-  if (NeedsQuoting(cell, options_)) {
+  if (classes_.NeedsQuoting(cell)) {
     buffer_ += options_.quote;
     for (char ch : cell) {
       buffer_ += ch;

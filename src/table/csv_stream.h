@@ -10,7 +10,6 @@
 
 #include "table/csv.h"
 #include "util/arena.h"
-#include "util/interner.h"
 #include "util/status.h"
 
 namespace foofah {
@@ -30,8 +29,9 @@ namespace foofah {
 /// and chunk sizes down to one byte to enforce this.
 
 /// One parsed record: a span of cell views. Views point into the
-/// reader's per-chunk storage and are valid until the next ReadChunk
-/// call on the same reader (or its destruction).
+/// reader's I/O buffer (or, for a quoted cell with escapes, its
+/// per-chunk arena) and are valid until the next ReadChunk call on the
+/// same reader (or its destruction).
 struct CsvRowView {
   const std::string_view* cells = nullptr;
   size_t num_cells = 0;
@@ -51,7 +51,7 @@ class CsvChunk {
   }
 
   /// Approximate heap footprint of the container spine (cell bytes are
-  /// accounted by the owning reader's arena/interner).
+  /// accounted by the owning reader's I/O buffer and arena).
   size_t buffered_bytes() const {
     return cells_.capacity() * sizeof(std::string_view) +
            rows_.capacity() * sizeof(RowSpan);
@@ -67,26 +67,57 @@ class CsvChunk {
   std::vector<RowSpan> rows_;
 };
 
-/// Incremental CSV reader: pulls bytes through a fixed I/O buffer and
-/// yields up to N records per ReadChunk call. Cell bytes are stored in a
-/// per-chunk Arena — or deduplicated through a StringInterner when
-/// `intern_cells` is on (the default), so repeated values cost one copy
-/// per chunk. Memory is bounded by (io buffer + widest record + chunk
-/// content); it never scales with file size.
+/// The byte classes both streaming halves scan with: one 256-entry table
+/// built from CsvOptions. The order matters: inside a quoted cell only
+/// classes >= kQuote stop the scan; outside one every non-plain byte
+/// does; the writer quotes a cell holding a delimiter, CR, quote or LF.
+class CsvByteClasses {
+ public:
+  enum Class : uint8_t { kPlain, kDelimiter, kCr, kQuote, kLf, kNul };
+
+  explicit CsvByteClasses(const CsvOptions& options);
+
+  Class operator[](char c) const { return table_[static_cast<uint8_t>(c)]; }
+
+  /// True when ToCsv would quote `cell`.
+  bool NeedsQuoting(std::string_view cell) const;
+
+ private:
+  Class table_[256];
+};
+
+/// Incremental CSV reader: pulls bytes through an I/O buffer and yields
+/// up to N records per ReadChunk call.
+///
+/// Zero-copy: each cell is a view into the I/O buffer. Only a quoted cell
+/// whose value differs from its raw bytes (a doubled quote, or bytes
+/// after the closing quote) is unescaped into a per-chunk Arena. A chunk
+/// ends at the last complete record in the buffer; the buffer is
+/// compacted, refilled or grown only at the start of ReadChunk, before
+/// the chunk's first row, so no live view ever moves. It doubles when a
+/// single record does not fit; max_cell_bytes is checked while scanning,
+/// so an over-long cell fails instead of growing the buffer without
+/// bound. Memory is bounded by (io buffer + widest record + escaped
+/// cells of one chunk); it never scales with file size.
+///
+/// Options whose delimiter or quote is NUL, CR or LF, or whose delimiter
+/// equals its quote, are rejected with InvalidArgument from ReadChunk.
 class CsvChunkReader {
  public:
   static constexpr size_t kDefaultIoBufferBytes = 256u << 10;
 
   /// Reads from a file. Open failures surface as NotFound from the first
-  /// ReadChunk (same message as ReadCsvFile).
+  /// ReadChunk (same message as ReadCsvFile). `intern_cells` is ignored:
+  /// cells are views and need no deduplication; the parameter remains
+  /// only so existing callers compile.
   explicit CsvChunkReader(const std::string& path, CsvOptions options = {},
-                          bool intern_cells = true,
+                          bool intern_cells = false,
                           size_t io_buffer_bytes = kDefaultIoBufferBytes);
 
   /// Reads from an in-memory buffer which must outlive the reader
   /// (tests, replaying a materialized intermediate).
   explicit CsvChunkReader(std::string_view text, CsvOptions options = {},
-                          bool intern_cells = true,
+                          bool intern_cells = false,
                           size_t io_buffer_bytes = kDefaultIoBufferBytes);
 
   ~CsvChunkReader();
@@ -100,55 +131,51 @@ class CsvChunkReader {
   Result<bool> ReadChunk(size_t max_rows, CsvChunk* chunk);
 
   /// Total input bytes consumed so far.
-  uint64_t bytes_consumed() const { return bytes_consumed_; }
+  uint64_t bytes_consumed() const { return base_offset_ + pos_; }
 
-  /// Resident memory held by the reader (I/O buffer, pending-cell
-  /// scratch, cell storage) — fed into the exec backend's memory gauge.
-  size_t buffered_bytes() const;
-
-  StringInterner::Stats interner_stats() const { return interner_.stats(); }
+  /// Resident memory held by the reader (the I/O buffer at its grown
+  /// capacity, plus the escaped-cell arena) — fed into the exec
+  /// backend's memory gauge.
+  size_t buffered_bytes() const {
+    return buffer_size_ + arena_.bytes_reserved();
+  }
 
  private:
-  bool RefillBuffer();  ///< Compacts + reads; returns false at source EOF.
-  void Advance(char c);
-  void StartNextCell();
-  void AppendToCell(char c);
-  Status CellOverCapError() const;
-  void EmitCell(CsvChunk* chunk);
-  void EmitRow(CsvChunk* chunk);
-  Status Fail(Status status);
+  enum class Scan { kRow, kNeedBytes, kEnd, kError };
+
+  void Init(size_t io_buffer_bytes);
+  /// Moves the unconsumed tail to the front (doubling the buffer when
+  /// that tail fills it) and tops the buffer up from the source.
+  void Refill();
+  Scan ScanRecord(CsvChunk* chunk);
+  Scan Fail(Status status);
+  std::string AtOffset(const char* p, size_t line, uint64_t line_start) const;
 
   CsvOptions options_;
-  bool intern_cells_;
+  CsvByteClasses classes_;
 
   // Source: exactly one of file_ / text_ is active.
   std::FILE* file_ = nullptr;
   std::string_view text_;
   size_t text_pos_ = 0;
-  Status open_status_;
 
+  /// buffer_[0, fill_) holds input bytes base_offset_ onward, followed
+  /// by a NUL sentinel that stops every scan loop at the fill mark.
   std::unique_ptr<char[]> buffer_;
-  size_t buffer_size_;
-  size_t pos_ = 0;   ///< Next unconsumed byte in buffer_.
+  size_t buffer_size_ = 0;
+  size_t pos_ = 0;   ///< Start of the first unconsumed record.
   size_t fill_ = 0;  ///< Valid bytes in buffer_.
+  uint64_t base_offset_ = 0;  ///< Input offset of buffer_[0].
   bool source_eof_ = false;
   bool finished_ = false;  ///< Final record emitted (or error latched).
-  bool any_bytes_ = false;
-  Status error_;  ///< Terminal parse/IO error, repeated forever.
+  Status error_;  ///< Terminal open/parse error, repeated forever.
 
-  // Parser state, mirroring ParseCsv field for field.
-  bool in_quotes_ = false;
-  bool row_started_ = false;
-  std::string cell_;  ///< Bytes of the cell being accumulated.
-  size_t line_ = 1, col_ = 1;
-  size_t cell_line_ = 1, cell_col_ = 1;
-  size_t quote_line_ = 1, quote_col_ = 1;
+  // Position of buffer_[pos_], for diagnostics: its 1-based line and the
+  // input offset at which that line starts (columns come from offsets).
+  size_t line_ = 1;
+  uint64_t line_start_ = 0;
 
-  size_t row_first_cell_ = 0;  ///< Index into chunk cells_ of the open row.
-  uint64_t bytes_consumed_ = 0;
-
-  Arena arena_;              ///< Cell bytes when not interning.
-  StringInterner interner_;  ///< Cell bytes when interning.
+  Arena arena_;  ///< Unescaped quoted cells of the current chunk.
 };
 
 /// Buffered CSV writer producing byte-identical output to ToCsv: cells
@@ -203,6 +230,7 @@ class CsvChunkWriter {
   void AppendCellLocked(std::string_view cell);
 
   CsvOptions options_;
+  CsvByteClasses classes_;
   std::FILE* file_ = nullptr;
   std::string* out_ = nullptr;
   std::string path_;

@@ -8,6 +8,7 @@
 
 #include "table/csv.h"
 #include "table/table.h"
+#include "util/rng.h"
 
 namespace foofah {
 namespace {
@@ -189,21 +190,6 @@ TEST(CsvStreamReaderTest, RowsNeverStraddleChunks) {
   EXPECT_FALSE(got.value());
 }
 
-TEST(CsvStreamReaderTest, InterningDeduplicatesRepeatedCells) {
-  std::string text;
-  for (int i = 0; i < 1000; ++i) text += "ACTIVE,same\n";
-  CsvChunkReader reader(std::string_view(text), CsvOptions{},
-                        /*intern_cells=*/true);
-  CsvChunk chunk;
-  Result<bool> got = reader.ReadChunk(1000, &chunk);
-  ASSERT_TRUE(got.ok());
-  StringInterner::Stats stats = reader.interner_stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_GE(stats.hits, 1998u);
-  // Equal cells in one chunk literally share bytes.
-  EXPECT_EQ(chunk.row(0)[0].data(), chunk.row(999)[0].data());
-}
-
 TEST(CsvStreamReaderTest, MissingFileIsNotFoundLikeWholeFileReader) {
   CsvChunkReader reader(std::string("/nonexistent/foofah.csv"));
   CsvChunk chunk;
@@ -225,6 +211,130 @@ TEST(CsvStreamReaderTest, BytesConsumedTracksInput) {
     if (!got.value()) break;
   }
   EXPECT_EQ(reader.bytes_consumed(), text.size());
+}
+
+TEST(CsvStreamReaderTest, RejectsAmbiguousOptions) {
+  CsvOptions same;
+  same.delimiter = '"';
+  CsvOptions newline;
+  newline.quote = '\n';
+  for (const CsvOptions& options : {same, newline}) {
+    CsvChunkReader reader(std::string_view("a,b\n"), options);
+    CsvChunk chunk;
+    Result<bool> got = reader.ReadChunk(10, &chunk);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// --- Differential: random bytes against the whole-file reader ------------
+
+// Seeded random input drawn from the byte classes the reader tells
+// apart: plain, delimiter, quote, CR, LF and NUL. Half the draws are
+// plain; the rest are frequent enough that quoted cells, escapes, lone
+// CRs and every error kind show up. With the seed below about a third
+// of the inputs parse.
+std::string RandomCsvBytes(Lcg* rng, const CsvOptions& options) {
+  const size_t length = rng->Next(48);
+  std::string text;
+  for (size_t i = 0; i < length; ++i) {
+    uint32_t pick = rng->Next(100);
+    if (pick < 50) {
+      text += "abc,\"'"[rng->Next(6)];  // Plain, or the other dialect's.
+    } else if (pick < 65) {
+      text += options.delimiter;
+    } else if (pick < 80) {
+      text += options.quote;
+    } else if (pick < 87) {
+      text += '\r';
+    } else if (pick < 98) {
+      text += '\n';
+    } else {
+      text += '\0';
+    }
+  }
+  return text;
+}
+
+TEST(CsvStreamDifferentialTest, RandomBytesMatchParseCsv) {
+  CsvOptions semicolon;
+  semicolon.delimiter = ';';
+  semicolon.quote = '\'';
+  CsvOptions keep_trailing;
+  keep_trailing.ignore_trailing_newline = false;
+  CsvOptions small_cap;
+  small_cap.max_cell_bytes = 3;
+  const CsvOptions option_sets[] = {CsvOptions{}, semicolon, keep_trailing,
+                                    small_cap};
+  Lcg rng(12);
+  size_t errors = 0;
+  for (int i = 0; i < 400; ++i) {
+    for (const CsvOptions& options : option_sets) {
+      const std::string text = RandomCsvBytes(&rng, options);
+      SCOPED_TRACE("input #" + std::to_string(i));
+      Result<Table> whole = ParseCsv(text, options);
+      if (!whole.ok()) ++errors;
+      for (size_t io_buffer : {2u, 3u, 7u, 64u, 4096u}) {
+        for (size_t max_rows : {1u, 3u, 4096u}) {
+          Result<std::vector<std::vector<std::string>>> chunked =
+              ReadChunked(text, io_buffer, max_rows, options);
+          if (!whole.ok()) {
+            ASSERT_FALSE(chunked.ok()) << "io_buffer=" << io_buffer;
+            ASSERT_EQ(chunked.status().code(), whole.status().code());
+            ASSERT_EQ(chunked.status().message(), whole.status().message())
+                << "io_buffer=" << io_buffer << " max_rows=" << max_rows;
+            continue;
+          }
+          ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
+          ASSERT_EQ(chunked->size(), whole->num_rows());
+          for (size_t r = 0; r < whole->num_rows(); ++r) {
+            ASSERT_EQ((*chunked)[r], whole->row(r))
+                << "row " << r << " io_buffer=" << io_buffer
+                << " max_rows=" << max_rows;
+          }
+        }
+      }
+    }
+  }
+  // The mix must exercise both outcomes.
+  EXPECT_GT(errors, 100u);
+  EXPECT_LT(errors, 1200u);
+}
+
+TEST(CsvStreamDifferentialTest, WideRecordAfterShortRecordsGrowsBuffer) {
+  // Short records fill the first chunk; then one record, with an escaped
+  // quoted cell, is far wider than the 16-byte I/O buffer. The reader
+  // must end the first chunk before it, then grow the buffer — with
+  // every view of the earlier chunk read (under ASan) before that.
+  std::string wide = "w";
+  for (int i = 0; i < 12; ++i) wide += ",cell" + std::to_string(i);
+  wide += ",\"say \"\"hi\"\" twice\"\n";
+  const std::string text = "a,b\nc,d\n" + wide + "e,f\n";
+  Result<Table> whole = ParseCsv(text);
+  ASSERT_TRUE(whole.ok());
+
+  CsvChunkReader reader(std::string_view(text), CsvOptions{}, false, 16);
+  CsvChunk chunk;
+  std::vector<std::vector<std::string>> rows;
+  size_t chunks = 0;
+  for (;;) {
+    Result<bool> got = reader.ReadChunk(1000, &chunk);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.value()) break;
+    ++chunks;
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      CsvRowView row = chunk.row(r);
+      rows.emplace_back();
+      for (size_t c = 0; c < row.size(); ++c) rows.back().emplace_back(row[c]);
+    }
+  }
+  EXPECT_GE(chunks, 2u);
+  EXPECT_GE(reader.buffered_bytes(), wide.size());
+  ASSERT_EQ(rows.size(), whole->num_rows());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(rows[r], whole->row(r)) << "row " << r;
+  }
+  EXPECT_EQ(rows[2].back(), "say \"hi\" twice");
 }
 
 // --- Writer --------------------------------------------------------------

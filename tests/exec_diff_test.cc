@@ -260,9 +260,9 @@ TEST(LargeInputDiffTest, BlockingOperatorsAcrossSpillThresholds) {
 
 TEST(BoundedMemoryTest, PeakTrackedBytesDoNotScaleWithInputSize) {
   // A pure streaming pipeline's tracked peak is dominated by fixed-size
-  // buffers (I/O buffer, chunk spine, interner). Growing the input 8x
-  // must not grow the peak anywhere near 8x. (check.sh stage 7 gates the
-  // same ratio on real multi-hundred-MB files via the CLI.)
+  // buffers (I/O buffer, chunk spine, escaped-cell arena). Growing the
+  // input 8x must not grow the peak anywhere near 8x. (check.sh stage 7
+  // gates the same ratio on real multi-hundred-MB files via the CLI.)
   Program program({Split(2, "-"), Drop(1), Fill(0)});
   ApplyOptions options;
   options.chunk_rows = 2048;
