@@ -1,22 +1,21 @@
-// Frontier-parallelism corpus benchmark with machine-readable emission.
+// Search-parallelism corpus benchmark with machine-readable emission.
 //
-// Measures every corpus scenario's 2-record example pair under three
+// Measures every corpus scenario's 2-record example pair under two
 // engine configurations —
-//   t1_k1  threads=1, K=1   the classic serial A* loop (baseline)
-//   t8_k1  threads=8, K=1   parallel candidate evaluation only (PR 1)
-//   t8_k8  threads=8, K=8   speculative K-way frontier batches
+//   t1  threads=1   the classic serial A* loop (baseline)
+//   t8  threads=8   parallel candidate evaluation per expansion
 // — and writes the results (per-scenario ns/op, solved flags, heap
-// allocations, peak RSS, slowest-quartile aggregates and speedups) to
+// allocations, peak RSS, slowest-quartile aggregates and speedup) to
 // BENCH_search.json so the perf trajectory is tracked across PRs. The
-// three configurations return bit-identical programs and stats (see
-// tests/frontier_parallel_test.cc); only wall-clock may differ.
+// two configurations return bit-identical programs and stats (see
+// tests/parallel_search_test.cc); only wall-clock may differ.
 //
 // Usage:
 //   frontier_corpus [--out <path>] [--reps N]   full sweep, writes JSON
 //   frontier_corpus --smoke                     one quick measurement of
-//                                               the BM_SynthesizeFrontierK
+//                                               the BM_SynthesizeParallel
 //                                               workload (contacts example,
-//                                               threads=8/K=8); prints
+//                                               threads=8); prints
 //                                               `smoke_ms=<x>` for the
 //                                               scripts/check.sh stage-6
 //                                               regression gate.
@@ -48,26 +47,23 @@ namespace {
 struct Config {
   const char* name;
   int threads;
-  int width;
 };
 
 constexpr Config kConfigs[] = {
-    {"t1_k1", 1, 1},
-    {"t8_k1", 8, 1},
-    {"t8_k8", 8, 8},
+    {"t1", 1},
+    {"t8", 8},
 };
 constexpr size_t kNumConfigs = sizeof(kConfigs) / sizeof(kConfigs[0]);
 
 struct ScenarioRow {
   std::string name;
-  double ms[kNumConfigs] = {0, 0, 0};
-  bool solved[kNumConfigs] = {false, false, false};
+  double ms[kNumConfigs] = {0, 0};
+  bool solved[kNumConfigs] = {false, false};
 };
 
 SearchOptions OptionsFor(const Config& config) {
   SearchOptions options = BudgetedOptions();
   options.num_threads = config.threads;
-  options.expansion_width = config.width;
   return options;
 }
 
@@ -86,9 +82,9 @@ double TimeOne(const Table& input, const Table& output,
   return best;
 }
 
-/// The stage-6 smoke workload: the motivating contacts example at the
-/// production configuration (threads=8, K=8) — the same workload
-/// micro_core's BM_SynthesizeFrontierK/K:8/threads:8 runs. Must stay in
+/// The stage-6 smoke workload: the motivating contacts example at
+/// threads=8 — the same workload micro_core's
+/// BM_SynthesizeParallel/threads:8 runs. Must stay in
 /// sync with the `smoke_ms` field the full sweep writes, since
 /// scripts/check.sh compares the two.
 double SmokeMs(int reps) {
@@ -97,7 +93,7 @@ double SmokeMs(int reps) {
   Result<ExamplePair> example =
       scenario->MakeExample(std::min(2, scenario->total_records()));
   if (!example.ok()) return -1;
-  SearchOptions options = OptionsFor(kConfigs[2]);
+  SearchOptions options = OptionsFor(kConfigs[1]);
   bool solved = false;
   double ms = TimeOne(example->input, example->output, options, reps, &solved);
   return solved ? ms : -1;
@@ -289,7 +285,7 @@ void WriteJson(const char* path, const std::vector<ScenarioRow>& rows,
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"frontier_corpus\",\n");
   // Speedups are only meaningful relative to this: a single-core host
-  // measures pure batching overhead, not parallel speedup.
+  // measures pure fan-out overhead, not parallel speedup.
   std::fprintf(out, "  \"host_cores\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(out,
@@ -316,7 +312,7 @@ void WriteJson(const char* path, const std::vector<ScenarioRow>& rows,
   }
   std::fprintf(out, "  ],\n");
 
-  double quartile_total[kNumConfigs] = {0, 0, 0};
+  double quartile_total[kNumConfigs] = {0, 0};
   for (size_t index : quartile) {
     for (size_t c = 0; c < kNumConfigs; ++c) {
       quartile_total[c] += rows[index].ms[c];
@@ -334,11 +330,8 @@ void WriteJson(const char* path, const std::vector<ScenarioRow>& rows,
     std::fprintf(out, "    \"total_ms_%s\": %.1f,\n", kConfigs[c].name,
                  quartile_total[c]);
   }
-  std::fprintf(out, "    \"speedup_t8_k8_vs_t1_k1\": %.2f,\n",
-               quartile_total[2] > 0 ? quartile_total[0] / quartile_total[2]
-                                     : 0.0);
-  std::fprintf(out, "    \"speedup_t8_k8_vs_t8_k1\": %.2f\n",
-               quartile_total[2] > 0 ? quartile_total[1] / quartile_total[2]
+  std::fprintf(out, "    \"speedup_t8_vs_t1\": %.2f\n",
+               quartile_total[1] > 0 ? quartile_total[0] / quartile_total[1]
                                      : 0.0);
   std::fprintf(out, "  },\n");
 
@@ -385,16 +378,14 @@ int RunSweep(const char* out_path, int reps, const char* corpus_dir,
       row.ms[c] = TimeOne(example->input, example->output,
                           OptionsFor(kConfigs[c]), reps, &row.solved[c]);
     }
-    std::printf("%-28s t1_k1=%8.1fms  t8_k1=%8.1fms  t8_k8=%8.1fms%s\n",
-                row.name.c_str(), row.ms[0], row.ms[1], row.ms[2],
-                row.solved[0] ? "" : "  (unsolved)");
+    std::printf("%-28s t1=%8.1fms  t8=%8.1fms%s\n", row.name.c_str(),
+                row.ms[0], row.ms[1], row.solved[0] ? "" : "  (unsolved)");
     rows.push_back(std::move(row));
   }
   AllocCounters delta = AllocSnapshot() - before;
 
-  // Slowest quartile by the serial baseline: the scenarios the ROADMAP's
-  // scaling-ceiling complaint is about, and where frontier batches have
-  // actual queue depth to chew through.
+  // Slowest quartile by the serial baseline: the scenarios with enough
+  // candidates per expansion for the thread fan-out to pay off.
   std::vector<size_t> order(rows.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -404,16 +395,15 @@ int RunSweep(const char* out_path, int reps, const char* corpus_dir,
   std::vector<size_t> quartile(order.begin(),
                                order.begin() + static_cast<long>(quartile_count));
 
-  double totals[kNumConfigs] = {0, 0, 0};
+  double totals[kNumConfigs] = {0, 0};
   for (size_t index : quartile) {
     for (size_t c = 0; c < kNumConfigs; ++c) totals[c] += rows[index].ms[c];
   }
   std::printf(
-      "slowest quartile (%zu scenarios): t1_k1=%.1fms t8_k1=%.1fms "
-      "t8_k8=%.1fms  speedup(t8_k8 vs t1_k1)=%.2fx  (vs t8_k1)=%.2fx\n",
-      quartile.size(), totals[0], totals[1], totals[2],
-      totals[2] > 0 ? totals[0] / totals[2] : 0.0,
-      totals[2] > 0 ? totals[1] / totals[2] : 0.0);
+      "slowest quartile (%zu scenarios): t1=%.1fms t8=%.1fms  "
+      "speedup(t8 vs t1)=%.2fx\n",
+      quartile.size(), totals[0], totals[1],
+      totals[1] > 0 ? totals[0] / totals[1] : 0.0);
 
   GuidanceReport guidance_report;
   if (guidance) {

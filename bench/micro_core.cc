@@ -186,32 +186,6 @@ BENCHMARK(BM_SynthesizeParallel)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Frontier width scaling of the speculative K-way engine: K frontier
-// nodes are popped and evaluated concurrently per batch, committed
-// serially in pop order (results stay bit-identical to K:1 — see
-// frontier_parallel_test). K:1 is the classic one-node loop; K>1 at
-// threads:1 isolates the pure batching overhead, K>1 at threads:8 is the
-// production configuration where the wider frontier keeps the pool fed
-// past the per-node candidate count.
-void BM_SynthesizeFrontierK(benchmark::State& state) {
-  Table in = MakeContactsInput(2);
-  Table out = MakeContactsOutput(2);
-  SearchOptions options;
-  options.expansion_width = static_cast<int>(state.range(0));
-  options.num_threads = static_cast<int>(state.range(1));
-  Foofah foofah(options);
-  bench::AllocCounters before = bench::AllocSnapshot();
-  for (auto _ : state) {
-    SearchResult r = foofah.Synthesize(in, out);
-    benchmark::DoNotOptimize(r.found);
-  }
-  ReportAllocs(state, before);
-}
-BENCHMARK(BM_SynthesizeFrontierK)
-    ->ArgNames({"K", "threads"})
-    ->ArgsProduct({{1, 2, 4, 8}, {1, 2, 8}})
-    ->Unit(benchmark::kMillisecond);
-
 // Heuristic-memo ablation: cache:0 recomputes the TED dynamic program for
 // every estimated child, cache:1 memoizes by (state hash, goal hash).
 // With dedup:1 (graph search) the serial engine only estimates each unique

@@ -8,12 +8,6 @@
 //
 // Usage: foofah_serve [--workers N] [--queue N] [--clients N]
 //                     [--scenarios N] [--deadline-ms N] [--node-budget N]
-//                     [--portfolio]
-//
-// --portfolio races each request's ladder rungs concurrently on the
-// shared deadline instead of descending sequentially (first conclusive
-// rung cancels the cheaper ones) — compare the reported latency
-// percentiles with and without it to see the p99 effect.
 
 #include <algorithm>
 #include <atomic>
@@ -40,13 +34,6 @@ int FlagValue(int argc, char** argv, const char* name, int fallback) {
   return fallback;
 }
 
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -63,14 +50,12 @@ int main(int argc, char** argv) {
   const int num_scenarios = FlagValue(argc, argv, "--scenarios", 50);
   const int deadline_ms = FlagValue(argc, argv, "--deadline-ms", 500);
   const int node_budget = FlagValue(argc, argv, "--node-budget", 20'000);
-  const bool portfolio = HasFlag(argc, argv, "--portfolio");
 
   foofah::ServiceOptions options;
   options.num_workers = num_workers;
   options.queue_capacity = static_cast<size_t>(queue_capacity);
   options.default_deadline_ms = deadline_ms;
   options.base_search.node_budget = static_cast<uint64_t>(node_budget);
-  options.portfolio = portfolio;
   SynthesisService service(options);
 
   const std::vector<Scenario>& corpus = Corpus();
@@ -78,9 +63,8 @@ int main(int argc, char** argv) {
       std::min<int>(num_scenarios, static_cast<int>(corpus.size()));
 
   std::printf("foofah_serve: %d clients x %d scenarios, %d workers, "
-              "queue capacity %d, deadline %d ms, %s ladder\n\n",
-              num_clients, total, num_workers, queue_capacity, deadline_ms,
-              portfolio ? "portfolio (racing)" : "sequential");
+              "queue capacity %d, deadline %d ms\n\n",
+              num_clients, total, num_workers, queue_capacity, deadline_ms);
 
   std::mutex out_mu;
   std::map<StatusCode, int> outcome_counts;

@@ -17,9 +17,10 @@
 # stress-labeled synthesis-service suite: concurrent soak over the corpus,
 # fault-pinned overload shedding, and worker-count determinism.
 #
-# Stage 6 is a quick perf smoke: the BM_SynthesizeFrontierK workload is
-# timed against the smoke_ms baseline checked into BENCH_search.json and
-# a >25% regression fails the gate (FOOFAH_SKIP_PERF_SMOKE=1 skips it).
+# Stage 6 is a quick perf smoke: the BM_SynthesizeParallel/threads:8
+# workload is timed against the smoke_ms baseline checked into
+# BENCH_search.json and a >25% regression fails the gate
+# (FOOFAH_SKIP_PERF_SMOKE=1 skips it).
 #
 # Stage 7 gates the streaming executor's bounded-memory claim: it builds
 # foofah_apply and the apply_corpus bench, runs the in-process memcheck
@@ -165,8 +166,8 @@ else
 fi
 
 # Stage 6: quick perf smoke against the checked-in baseline. Runs the
-# BM_SynthesizeFrontierK workload (contacts example, threads=8/K=8,
-# best-of-3) via the frontier_corpus driver and fails on a >25% wall-clock
+# BM_SynthesizeParallel workload (contacts example, threads=8, best-of-3)
+# via the frontier_corpus driver and fails on a >25% wall-clock
 # regression vs. the `smoke_ms` recorded in BENCH_search.json. A single
 # regressed measurement gets one retry before failing — the smoke shares
 # the machine with whatever else is running, and one noisy scheduler
@@ -175,7 +176,7 @@ fi
 if [[ "${SKIP_PERF}" == 1 ]]; then
   echo "== Perf smoke skipped =="
 else
-  echo "== Perf smoke: BM_SynthesizeFrontierK workload vs BENCH_search.json =="
+  echo "== Perf smoke: BM_SynthesizeParallel workload vs BENCH_search.json =="
   cmake --build build -j "${JOBS}" --target frontier_corpus
   baseline="$(sed -n 's/.*"smoke_ms": \([0-9.]*\).*/\1/p' BENCH_search.json)"
   smoke_measure() {

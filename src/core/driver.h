@@ -26,9 +26,9 @@ using ExampleBuilder = std::function<Result<ExamplePair>(int records)>;
 /// Configuration of the §5.2 experimental protocol.
 struct DriverOptions {
   /// Synthesis configuration for each interaction round. Carries the
-  /// engine's parallelism knobs (`num_threads`, `expansion_width`)
-  /// unchanged into every round — results are bit-identical at any
-  /// setting, so the protocol's record-growth decisions are too.
+  /// engine's `num_threads` unchanged into every round — results are
+  /// bit-identical at any setting, so the protocol's record-growth
+  /// decisions are too.
   SearchOptions search;
   /// Largest example (in records) to try before giving up. The paper's
   /// experiments never needed more than 3; Fig 11a buckets 1 / 2 / failed.

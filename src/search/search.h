@@ -128,23 +128,6 @@ struct SearchOptions {
   /// replayed serially in candidate order.
   int num_threads = 0;
 
-  /// Frontier nodes popped and expanded per search iteration. 1 (the
-  /// default) is the classic loop: pop the single best node, expand it,
-  /// commit. Values > 1 pop the top K frontier nodes at once and evaluate
-  /// *all* of their candidates in one parallel batch — speculative
-  /// expansion — then commit each node serially in pop order. Before
-  /// committing a speculated node, the engine re-checks that it is still
-  /// the node a K=1 run would pop next; a node outranked by a child pushed
-  /// from an earlier commit is restored to the frontier un-applied and its
-  /// evaluation discarded (counted in SearchStats::speculative_discards).
-  /// Every frontier push, seen-set insert, goal test, anytime update and
-  /// observer callback therefore replays in the exact K=1 order, keeping
-  /// results bit-identical across any (num_threads, expansion_width)
-  /// combination. Discarded work is not a total loss: heuristic estimates
-  /// land in the memo, so a restored node's re-expansion mostly hits the
-  /// cache. Values < 1 behave like 1.
-  int expansion_width = 1;
-
   /// Memoize heuristic estimates by (state hash, goal hash). Duplicate
   /// tables reached via different paths — and every re-expansion when
   /// deduplicate_states is false — then skip the TED dynamic program
@@ -212,24 +195,11 @@ struct SearchStats {
   /// estimate value — and therefore the search outcome — stays identical.
   uint64_t heuristic_cache_hits = 0;
   uint64_t heuristic_cache_misses = 0;
-  /// Speculative-expansion accounting (0/0 when expansion_width <= 1).
-  /// `speculative_expansions` counts frontier nodes popped beyond the
-  /// first of each batch — work started on the bet that no earlier commit
-  /// outranks them. `speculative_discards` counts batch members whose
-  /// evaluation was thrown away: restored to the frontier after an
-  /// invalidation, or abandoned when a stop (budget/deadline/cancel/goal)
-  /// ended the search mid-batch. Like the cache split, these are
-  /// bookkeeping about *how* the search ran, not *what* it found — they
-  /// naturally differ across expansion_width values (and under wall-clock
-  /// stops) while every result-bearing counter above stays identical.
-  uint64_t speculative_expansions = 0;
-  uint64_t speculative_discards = 0;
   /// Staged-guidance accounting (all zero/false when SearchOptions::
   /// guidance is null). In a staged search every result-bearing counter
   /// above sums BOTH phases, so expansion/latency comparisons against an
   /// unguided run stay honest; these fields record the split. Like every
-  /// other counter they are bit-identical across (num_threads,
-  /// expansion_width).
+  /// other counter they are bit-identical across num_threads.
   uint64_t guided_expansions = 0;  ///< Expansions spent in the guided phase.
   uint64_t guidance_deferred = 0;  ///< Candidates the guide deferred.
   uint32_t guidance_fallbacks = 0; ///< 1 when the exact fallback phase ran.

@@ -86,11 +86,6 @@ void SearchTraceRecorder::OnDuplicate(int parent, const Operation& operation) {
       EdgeRecord{parent, operation.ToString(), true, PruneReason::kKept});
 }
 
-void SearchTraceRecorder::OnSpeculationDiscarded(int node) {
-  (void)node;
-  ++speculation_discards_;
-}
-
 std::string SearchTraceRecorder::ToDot() const {
   std::ostringstream out;
   out << "digraph foofah_search {\n";

@@ -1,11 +1,7 @@
 #include "server/ladder.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/fault_injection.h"
@@ -32,161 +28,6 @@ bool Truncated(const SearchStats& stats) {
   return stats.timed_out || stats.budget_exhausted || stats.cancelled;
 }
 
-/// Per-rung search configuration shared by both modes. The sequential
-/// descent scales the timeout along with the budgets (each rung gets a
-/// slice of the wall clock); the portfolio race leaves it at the base
-/// value — racing rungs share the clock, only node/memory scale.
-SearchOptions RungSearchOptions(const LadderOptions& options,
-                                const LadderRung& rung, bool scale_timeout) {
-  SearchOptions search = options.base;
-  if (search.num_threads == 0) search.num_threads = 1;
-  search.heuristic = rung.heuristic;
-  search.node_budget =
-      ScaleBudget(options.base.node_budget, rung.budget_scale);
-  search.memory_budget =
-      ScaleBudget(options.base.memory_budget, rung.budget_scale);
-  search.timeout_ms =
-      scale_timeout ? ScaleTimeout(options.base.timeout_ms, rung.budget_scale)
-                    : options.base.timeout_ms;
-  return search;
-}
-
-/// The typed-outcome contract, identical across both modes.
-/// `mid_rung_cancelled` distinguishes "a rung's own token was fired
-/// externally" from budget truncation.
-void FinalizeStatus(const LadderOptions& options, bool definitive_failure,
-                    bool mid_rung_cancelled, LadderResult& result) {
-  if (result.found) {
-    result.anytime = AnytimeResult{};  // A program makes partials moot.
-    result.status = Status::OK();
-    return;
-  }
-  if (options.cancel != nullptr && options.cancel->IsCancelled()) {
-    result.status = StatusFromCancelReason(options.cancel->reason(), "ladder");
-    return;
-  }
-  if (mid_rung_cancelled) {
-    result.status = Status::Cancelled("ladder: cancelled mid-rung");
-    return;
-  }
-  if (definitive_failure) {
-    result.status = Status::NotFound(
-        "ladder: no program exists within the operator library");
-    return;
-  }
-  result.status = Status::ResourceExhausted(
-      "ladder: all " + std::to_string(result.attempts.size()) +
-      " rungs truncated" +
-      (result.anytime.available ? " (anytime partial available)" : ""));
-}
-
-/// Portfolio mode: every rung races on its own thread and private token.
-/// The decisive rung is the *lowest-indexed* conclusive finisher — the
-/// race decides wall-clock, the ladder order still decides the answer —
-/// so a conclusive rung cancels only the cheaper rungs below it; stronger
-/// rungs above run to their own deterministic stop, keeping the reported
-/// attempt list bit-identical to the sequential descent under node/memory
-/// budgets.
-LadderResult RunPortfolio(const Table& input, const Table& goal,
-                          const LadderOptions& options,
-                          const std::vector<LadderRung>& rungs) {
-  LadderResult result;
-  if (options.cancel != nullptr && options.cancel->IsCancelled()) {
-    FinalizeStatus(options, /*definitive_failure=*/false,
-                   /*mid_rung_cancelled=*/false, result);
-    return result;
-  }
-
-  // Tokens need stable addresses across the race (the hook publishes
-  // them) and CancellationToken is pinned; a deque never relocates.
-  std::deque<CancellationToken> tokens(rungs.size());
-  for (CancellationToken& token : tokens) {
-    if (options.deadline.has_value()) {
-      token.TightenDeadline(*options.deadline);
-    }
-  }
-
-  std::vector<SearchResult> searches(rungs.size());
-  std::vector<LadderAttempt> attempts(rungs.size());
-  std::mutex race_mu;
-
-  auto run_rung = [&](size_t i) {
-    SearchOptions search =
-        RungSearchOptions(options, rungs[i], /*scale_timeout=*/false);
-    search.cancel = &tokens[i];
-
-    LadderAttempt& attempt = attempts[i];
-    attempt.heuristic = rungs[i].heuristic;
-    attempt.node_budget = search.node_budget;
-    attempt.memory_budget = search.memory_budget;
-    attempt.timeout_ms = search.timeout_ms;
-
-    FOOFAH_FAULT_HIT(fault_points::kLadderRungStart);
-    if (options.on_rung_token) {
-      options.on_rung_token(static_cast<int>(i), &tokens[i], true);
-    }
-    SearchResult search_result = SynthesizeProgram(input, goal, search);
-    if (options.on_rung_token) {
-      options.on_rung_token(static_cast<int>(i), &tokens[i], false);
-    }
-
-    attempt.found = search_result.found;
-    attempt.truncated = Truncated(search_result.stats);
-    attempt.stats = search_result.stats;
-    searches[i] = std::move(search_result);
-
-    if (attempt.found || !attempt.truncated) {
-      // Conclusive: no rung below can change the answer, stop paying for
-      // them. (Cancelled losers end fast and are never reported.)
-      std::lock_guard<std::mutex> lock(race_mu);
-      for (size_t j = i + 1; j < rungs.size(); ++j) {
-        tokens[j].RequestCancel();
-      }
-    }
-  };
-
-  std::vector<std::thread> racers;
-  racers.reserve(rungs.size());
-  for (size_t i = 0; i < rungs.size(); ++i) {
-    racers.emplace_back(run_rung, i);
-  }
-  for (std::thread& racer : racers) racer.join();
-
-  size_t decisive = rungs.size();
-  for (size_t i = 0; i < rungs.size(); ++i) {
-    if (attempts[i].found || !attempts[i].truncated) {
-      decisive = i;
-      break;
-    }
-  }
-  const size_t reported =
-      decisive == rungs.size() ? rungs.size() : decisive + 1;
-  result.attempts.assign(attempts.begin(),
-                         attempts.begin() + static_cast<long>(reported));
-
-  bool definitive_failure = false;
-  if (decisive < rungs.size()) {
-    if (attempts[decisive].found) {
-      result.found = true;
-      result.program = std::move(searches[decisive].program);
-      result.winning_rung = static_cast<int>(decisive);
-    } else {
-      definitive_failure = true;  // Clean exhaustion: no program exists.
-    }
-  }
-  bool mid_rung_cancelled = false;
-  for (size_t i = 0; i < reported; ++i) {
-    mid_rung_cancelled |= attempts[i].stats.cancelled;
-    if (!result.found && searches[i].anytime.available &&
-        (!result.anytime.available ||
-         searches[i].anytime.h < result.anytime.h)) {
-      result.anytime = std::move(searches[i].anytime);
-    }
-  }
-  FinalizeStatus(options, definitive_failure, mid_rung_cancelled, result);
-  return result;
-}
-
 }  // namespace
 
 std::vector<LadderRung> DefaultLadderRungs() {
@@ -204,8 +45,6 @@ LadderResult RunDegradationLadder(const Table& input, const Table& goal,
   std::vector<LadderRung> rungs = options.rungs;
   if (rungs.empty()) rungs.push_back(LadderRung{});
 
-  if (options.portfolio) return RunPortfolio(input, goal, options, rungs);
-
   // Track the best (lowest-h) partial answer across every truncated rung.
   // A later, cheaper rung can still improve it: its heuristic is weaker
   // but its search explores different states.
@@ -215,8 +54,15 @@ LadderResult RunDegradationLadder(const Table& input, const Table& goal,
     if (options.cancel != nullptr && options.cancel->IsCancelled()) break;
 
     const LadderRung& rung = rungs[rung_index];
-    SearchOptions search =
-        RungSearchOptions(options, rung, /*scale_timeout=*/true);
+    SearchOptions search = options.base;
+    if (search.num_threads == 0) search.num_threads = 1;
+    search.heuristic = rung.heuristic;
+    search.node_budget =
+        ScaleBudget(options.base.node_budget, rung.budget_scale);
+    search.memory_budget =
+        ScaleBudget(options.base.memory_budget, rung.budget_scale);
+    search.timeout_ms =
+        ScaleTimeout(options.base.timeout_ms, rung.budget_scale);
 
     // Fresh token per rung: budgets charged by one rung must not poison
     // the next (tokens are single-shot), while the request deadline caps
@@ -271,10 +117,29 @@ LadderResult RunDegradationLadder(const Table& input, const Table& goal,
     // Truncated: descend to the next (cheaper) rung.
   }
 
-  FinalizeStatus(options, definitive_failure,
-                 /*mid_rung_cancelled=*/!result.attempts.empty() &&
-                     result.attempts.back().stats.cancelled,
-                 result);
+  // Typed outcome.
+  if (result.found) {
+    result.anytime = AnytimeResult{};  // A program makes partials moot.
+    result.status = Status::OK();
+    return result;
+  }
+  if (options.cancel != nullptr && options.cancel->IsCancelled()) {
+    result.status = StatusFromCancelReason(options.cancel->reason(), "ladder");
+    return result;
+  }
+  if (!result.attempts.empty() && result.attempts.back().stats.cancelled) {
+    result.status = Status::Cancelled("ladder: cancelled mid-rung");
+    return result;
+  }
+  if (definitive_failure) {
+    result.status = Status::NotFound(
+        "ladder: no program exists within the operator library");
+    return result;
+  }
+  result.status = Status::ResourceExhausted(
+      "ladder: all " + std::to_string(result.attempts.size()) +
+      " rungs truncated" +
+      (result.anytime.available ? " (anytime partial available)" : ""));
   return result;
 }
 

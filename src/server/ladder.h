@@ -58,22 +58,9 @@ struct LadderOptions {
   /// before the rung's search runs (`active` true) and again right after
   /// it returns (`active` false). A service uses it to propagate an
   /// external cancel into a rung mid-search; the pointer is only valid
-  /// between the matching active / inactive calls. In portfolio mode the
-  /// hook is invoked from each rung's racing thread, so several tokens can
-  /// be active at once — implementations must be thread-safe.
+  /// between the matching active / inactive calls. Rungs run one at a
+  /// time, so at most one token is active.
   std::function<void(int rung, CancellationToken*, bool active)> on_rung_token;
-
-  /// When true, all rungs race concurrently on one thread apiece instead
-  /// of descending sequentially: every rung gets its scaled node/memory
-  /// budget but the *unscaled* base timeout (the race shares the wall
-  /// clock), and the first rung to finish conclusively — found, or clean
-  /// exhaustion — cancels every cheaper rung below it. Rungs above a
-  /// conclusive finisher keep running to their own deterministic stop so
-  /// the reported attempts match the sequential descent: under pure node/
-  /// memory budgets the result, winning rung, and per-attempt stats are
-  /// bit-identical to `portfolio = false`, only wall-clock differs (the
-  /// slowest conclusive prefix instead of the sum of all truncated rungs).
-  bool portfolio = false;
 };
 
 /// What one rung attempted and how it ended, for response metadata and the

@@ -48,11 +48,10 @@ inline constexpr const char* kServerDispatch = "server/dispatch";
 /// history mutation (wrangler/session.cc). Callbacks let tests hold one
 /// call open while a second thread's call must observe kUnavailable.
 inline constexpr const char* kWranglerApply = "wrangler/apply";
-/// Degradation-ladder rung start (server/ladder.cc), hit once per rung in
-/// both sequential and portfolio mode, just before the rung's search
-/// launches. Callbacks let tests park a chosen rung — e.g. hold a
-/// portfolio loser open until the winner finishes, then assert the
-/// winner's cancellation reached it.
+/// Degradation-ladder rung start (server/ladder.cc), hit once per rung
+/// just before the rung's token is published and its search launches.
+/// Callbacks let tests park a chosen rung — e.g. hold rung 0 while the
+/// ticket is cancelled, then assert the cancel still reached the rung.
 inline constexpr const char* kLadderRungStart = "ladder/rung_start";
 /// Spill run-file page write in the streaming executor (exec/spill.cc),
 /// hit once per page flushed (open failures take the first hit). A

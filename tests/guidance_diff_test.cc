@@ -3,7 +3,7 @@
 // them, so the staged guided search must return the byte-identical
 // program whenever the exact search succeeds — across the 50-scenario
 // benchmark corpus plus a seeded 60-scenario generated corpus, at every
-// thread count and expansion width, and even under an adversarial prior
+// thread count, and even under an adversarial prior
 // that puts all probability mass on the wrong operator. SearchStats must
 // account for the staging (guided expansions, deferrals, fallback
 // activations) so regressions in the policy's aggressiveness are visible,
@@ -56,10 +56,9 @@ const std::vector<DiffCase>& DiffCases() {
   return *cases;
 }
 
-SearchOptions ExactOptions(int num_threads, uint64_t expansion_width) {
+SearchOptions ExactOptions(int num_threads) {
   SearchOptions options = testing::WallClockFreeSearchOptions(kNodeBudget);
   options.num_threads = num_threads;
-  options.expansion_width = expansion_width;
   return options;
 }
 
@@ -80,23 +79,22 @@ const GuidancePolicy& MinedPolicy() {
       MineProgram(g.input, g.output, g.program, &model);
     }
     for (const DiffCase& c : DiffCases()) {
-      MineSolved(c.input, c.output, ExactOptions(1, 1), &model);
+      MineSolved(c.input, c.output, ExactOptions(1), &model);
     }
     return new GuidancePolicy(std::move(model));
   }();
   return *policy;
 }
 
-SearchOptions GuidedOptions(const GuidancePolicy& policy, int num_threads,
-                            uint64_t expansion_width) {
-  SearchOptions options = ExactOptions(num_threads, expansion_width);
+SearchOptions GuidedOptions(const GuidancePolicy& policy, int num_threads) {
+  SearchOptions options = ExactOptions(num_threads);
   options.guidance = &policy;
   return options;
 }
 
 /// Every counter the engine promises is deterministic across thread
-/// counts and expansion widths (the frontier-parallel determinism
-/// contract), extended with the staging counters.
+/// counts (the parallel-search determinism contract), extended with the
+/// staging counters.
 void ExpectIdentical(const SearchResult& base, const SearchResult& other,
                      const std::string& label) {
   EXPECT_EQ(base.found, other.found) << label;
@@ -124,9 +122,9 @@ TEST(GuidanceDiffTest, GuidedMatchesExactWheneverExactSolves) {
   uint64_t deferred_total = 0;
   for (const DiffCase& c : DiffCases()) {
     SearchResult exact =
-        SynthesizeProgram(c.input, c.output, ExactOptions(1, 1));
+        SynthesizeProgram(c.input, c.output, ExactOptions(1));
     SearchResult guided =
-        SynthesizeProgram(c.input, c.output, GuidedOptions(policy, 1, 1));
+        SynthesizeProgram(c.input, c.output, GuidedOptions(policy, 1));
     if (exact.found) {
       ++exact_solved;
       ASSERT_TRUE(guided.found)
@@ -155,21 +153,17 @@ TEST(GuidanceDiffTest, GuidedMatchesExactWheneverExactSolves) {
               static_cast<unsigned long long>(deferred_total));
 }
 
-// --- Determinism across thread counts and expansion widths --------------
+// --- Determinism across thread counts -----------------------------------
 
-TEST(GuidanceDiffTest, GuidedBitIdenticalAcrossThreadsAndWidths) {
+TEST(GuidanceDiffTest, GuidedBitIdenticalAcrossThreads) {
   const GuidancePolicy& policy = MinedPolicy();
   for (const DiffCase& c : DiffCases()) {
     SearchResult base =
-        SynthesizeProgram(c.input, c.output, GuidedOptions(policy, 1, 1));
+        SynthesizeProgram(c.input, c.output, GuidedOptions(policy, 1));
     for (int threads : {2, 8}) {
-      for (uint64_t width : {uint64_t{1}, uint64_t{4}}) {
-        SearchResult other = SynthesizeProgram(
-            c.input, c.output, GuidedOptions(policy, threads, width));
-        ExpectIdentical(base, other,
-                        c.name + " t" + std::to_string(threads) + "w" +
-                            std::to_string(width));
-      }
+      SearchResult other =
+          SynthesizeProgram(c.input, c.output, GuidedOptions(policy, threads));
+      ExpectIdentical(base, other, c.name + " t" + std::to_string(threads));
     }
   }
 }
@@ -215,9 +209,9 @@ TEST(GuidanceDiffTest, AdversarialPriorStillSolvesEverythingExactSolves) {
   int fallbacks = 0;
   for (const DiffCase& c : DiffCases()) {
     SearchResult exact =
-        SynthesizeProgram(c.input, c.output, ExactOptions(1, 1));
+        SynthesizeProgram(c.input, c.output, ExactOptions(1));
     SearchResult guided =
-        SynthesizeProgram(c.input, c.output, GuidedOptions(policy, 1, 1));
+        SynthesizeProgram(c.input, c.output, GuidedOptions(policy, 1));
     // COMPLETENESS is what the fallback must preserve: everything the
     // exact search solves stays solved, whatever the prior believes. (A
     // wrong prior may occasionally let the guided phase win with a
@@ -244,7 +238,7 @@ TEST(GuidanceDiffTest, MultiSolutionRequestsIgnoreGuidance) {
   const GuidancePolicy& policy = MinedPolicy();
   const DiffCase& c = DiffCases().front();
 
-  SearchOptions exact_options = ExactOptions(1, 1);
+  SearchOptions exact_options = ExactOptions(1);
   exact_options.max_solutions = 2;
   SearchOptions guided_options = exact_options;
   guided_options.guidance = &policy;

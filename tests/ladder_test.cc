@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "scenarios/corpus.h"
@@ -200,14 +197,12 @@ LadderFingerprint Fingerprint(const LadderResult& result) {
   return fp;
 }
 
-LadderResult RunScenarioLadder(const Scenario& scenario, int num_threads,
-                               bool portfolio = false) {
+LadderResult RunScenarioLadder(const Scenario& scenario, int num_threads) {
   auto example = scenario.MakeExample(1);
   EXPECT_TRUE(example.ok()) << scenario.name();
   LadderOptions options;
   options.base = testing::WallClockFreeSearchOptions(/*node_budget=*/1'500);
   options.base.num_threads = num_threads;
-  options.portfolio = portfolio;
   return RunDegradationLadder(example->input, example->output, options);
 }
 
@@ -259,25 +254,6 @@ TEST(LadderCorpusPropertyTest, DeterministicAcrossThreadCounts) {
   }
 }
 
-// Portfolio mode races the rungs instead of descending through them, but
-// under pure node budgets (no wall clock) the decisive rung rule makes the
-// typed result — program, winning rung, attempt stats, anytime partial,
-// status — bit-identical to the sequential descent, corpus-wide.
-TEST(LadderCorpusPropertyTest, PortfolioMatchesSequentialDescent) {
-  for (const Scenario& scenario : Corpus()) {
-    const LadderFingerprint sequential =
-        Fingerprint(RunScenarioLadder(scenario, 1, /*portfolio=*/false));
-    const LadderFingerprint portfolio =
-        Fingerprint(RunScenarioLadder(scenario, 1, /*portfolio=*/true));
-    EXPECT_TRUE(sequential == portfolio)
-        << scenario.name() << ": portfolio diverged from sequential "
-        << "(sequential " << sequential.attempt_count << " attempts, rung "
-        << sequential.winning_rung << "; portfolio "
-        << portfolio.attempt_count << " attempts, rung "
-        << portfolio.winning_rung << ")";
-  }
-}
-
 // The typed-shape and thread-count-determinism contracts extend to a
 // fuzzer-generated corpus when one is supplied (check.sh stage 8).
 TEST(LadderGeneratedCorpusTest, TypedShapeAndThreadDeterminism) {
@@ -302,45 +278,6 @@ TEST(LadderGeneratedCorpusTest, TypedShapeAndThreadDeterminism) {
     EXPECT_TRUE(Fingerprint(result) == parallel)
         << scenario.name() << ": ladder diverged between thread counts";
   }
-}
-
-TEST(LadderTest, PortfolioWinnerCancellationPropagatesToLosers) {
-  // Pin the race: every loser rung parks in its active hook publish until
-  // its token fires. Rung 0 solves the easy task, becomes the decisive
-  // rung, and cancels the rungs below it — which is exactly what releases
-  // the losers. If the winner's cancellation did not propagate, the
-  // losers would spin until the fallback deadline and the flags below
-  // would stay false.
-  LadderOptions options;
-  options.portfolio = true;
-  options.base.timeout_ms = 0;
-  Table input = {{"a", "junk"}, {"b", "junk"}};
-  Table goal = {{"a"}, {"b"}};
-
-  std::atomic<int> losers_started{0};
-  std::atomic<int> losers_cancelled_before_search{0};
-  options.on_rung_token = [&](int rung, CancellationToken* token,
-                              bool active) {
-    if (rung == 0 || !active) return;
-    losers_started.fetch_add(1);
-    const auto fallback =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!token->IsCancelled() &&
-           std::chrono::steady_clock::now() < fallback) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (token->IsCancelled()) losers_cancelled_before_search.fetch_add(1);
-  };
-
-  LadderResult result = RunDegradationLadder(input, goal, options);
-  EXPECT_TRUE(result.found);
-  EXPECT_TRUE(result.status.ok());
-  EXPECT_EQ(result.winning_rung, 0);
-  EXPECT_EQ(result.attempts.size(), 1u)
-      << "cancelled losers must not be reported as attempts";
-  EXPECT_EQ(losers_started.load(), 2);
-  EXPECT_EQ(losers_cancelled_before_search.load(), 2)
-      << "the winning rung's cancellation must reach every loser";
 }
 
 }  // namespace

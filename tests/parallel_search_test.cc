@@ -1,7 +1,8 @@
 // Determinism contract of the parallel expansion engine: any thread count
-// must produce bit-identical programs and search statistics (modulo the
+// must produce bit-identical programs, search statistics (modulo the
 // heuristic-cache hit/miss split, which legitimately shifts because the
-// parallel engine estimates before deduplication). Also exercises the
+// parallel engine estimates before deduplication) and anytime results.
+// Also exercises the
 // ThreadPool primitive directly, since the search only ever drives it with
 // well-behaved batches.
 
@@ -16,10 +17,14 @@
 #include "profile/structure.h"
 #include "scenarios/corpus.h"
 #include "search/search.h"
+#include "testing/search_outcome.h"
 #include "util/thread_pool.h"
 
 namespace foofah {
 namespace {
+
+using testing::DeterministicOptions;
+using testing::ExpectIdenticalOutcome;
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -61,47 +66,6 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   int sum = 0;  // No atomics needed: everything runs on this thread.
   pool.ParallelFor(100, [&](size_t i) { sum += static_cast<int>(i); });
   EXPECT_EQ(sum, 4950);
-}
-
-// Deterministic search configuration: wall-clock limits off, expansion
-// budget on, so every run explores the exact same graph prefix.
-SearchOptions DeterministicOptions(int num_threads) {
-  SearchOptions options;
-  options.timeout_ms = 0;
-  options.max_expansions = 30'000;
-  options.num_threads = num_threads;
-  return options;
-}
-
-void ExpectIdenticalOutcome(const SearchResult& serial,
-                            const SearchResult& parallel,
-                            const std::string& label) {
-  EXPECT_EQ(serial.found, parallel.found) << label;
-  EXPECT_EQ(serial.program, parallel.program) << label;
-  ASSERT_EQ(serial.alternatives.size(), parallel.alternatives.size()) << label;
-  for (size_t i = 0; i < serial.alternatives.size(); ++i) {
-    EXPECT_EQ(serial.alternatives[i], parallel.alternatives[i]) << label;
-  }
-  EXPECT_EQ(serial.stats.nodes_expanded, parallel.stats.nodes_expanded)
-      << label;
-  EXPECT_EQ(serial.stats.nodes_generated, parallel.stats.nodes_generated)
-      << label;
-  EXPECT_EQ(serial.stats.candidates_tried, parallel.stats.candidates_tried)
-      << label;
-  EXPECT_EQ(serial.stats.duplicates_skipped, parallel.stats.duplicates_skipped)
-      << label;
-  EXPECT_EQ(serial.stats.oversize_skipped, parallel.stats.oversize_skipped)
-      << label;
-  EXPECT_EQ(serial.stats.apply_failures, parallel.stats.apply_failures)
-      << label;
-  for (int r = 0; r < kNumPruneReasons; ++r) {
-    EXPECT_EQ(serial.stats.pruned_by_reason[r],
-              parallel.stats.pruned_by_reason[r])
-        << label << " prune reason " << r;
-  }
-  EXPECT_EQ(serial.stats.timed_out, parallel.stats.timed_out) << label;
-  EXPECT_EQ(serial.stats.budget_exhausted, parallel.stats.budget_exhausted)
-      << label;
 }
 
 // The full 50-scenario corpus, searched with 1, 2 and 8 threads: programs
